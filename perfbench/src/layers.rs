@@ -251,56 +251,92 @@ pub fn codec_us(frames: &[(Request, Response)]) -> f64 {
     t.elapsed().as_secs_f64() * 1e6 / frames.len() as f64
 }
 
-/// Counters of every batcher of a registry at one instant.
+/// Counters of every batcher of a registry: at one instant ([`BatcherWindow::read`]),
+/// or their growth over one or more stretches of time.
 #[derive(Debug, Clone)]
 pub struct BatcherWindow {
     requests: u64,
     batches: u64,
     busy_s: f64,
-    queue_wait: Vec<HistogramSnapshot>,
+    /// Queue-wait histogram summed over the batchers.
+    wait: HistogramSnapshot,
 }
 
 impl BatcherWindow {
     /// Read `stats` (one per served matrix, held since set-up so reading them
     /// never touches the registry's LRU order).
     pub fn read(stats: &[std::sync::Arc<ServeStats>]) -> BatcherWindow {
+        let mut wait = HistogramSnapshot::empty();
+        for h in stats.iter().map(|s| s.queue_wait_histogram()) {
+            wait.buckets
+                .iter_mut()
+                .zip(&h.buckets)
+                .for_each(|(w, b)| *w += b);
+            wait.max = wait.max.max(h.max);
+        }
         BatcherWindow {
             requests: stats.iter().map(|s| s.requests()).sum(),
             batches: stats.iter().map(|s| s.batches()).sum(),
             busy_s: stats.iter().map(|s| s.snapshot().busy_seconds).sum(),
-            queue_wait: stats.iter().map(|s| s.queue_wait_histogram()).collect(),
+            wait,
         }
     }
 
-    /// Report the batcher metrics of the window from `self` to `end`.
-    pub fn report_until(&self, end: &BatcherWindow, report: &mut Report) {
-        let batches = end.batches - self.batches;
-        let requests = end.requests - self.requests;
-        let mut wait = HistogramSnapshot::empty();
-        for (a, b) in self.queue_wait.iter().zip(&end.queue_wait) {
-            for (w, (x, y)) in wait
-                .buckets
-                .iter_mut()
-                .zip(a.buckets.iter().zip(&b.buckets))
-            {
-                *w += y - x;
-            }
-            wait.max = wait.max.max(b.max);
+    /// Growth from `before` to `self`.
+    pub fn since(&self, before: &BatcherWindow) -> BatcherWindow {
+        let mut wait = self.wait.clone();
+        wait.buckets
+            .iter_mut()
+            .zip(&before.wait.buckets)
+            .for_each(|(w, b)| *w -= b);
+        BatcherWindow {
+            requests: self.requests - before.requests,
+            batches: self.batches - before.batches,
+            busy_s: self.busy_s - before.busy_s,
+            wait,
         }
+    }
+
+    /// Add the growth `other` to this one.
+    pub fn add(&mut self, other: &BatcherWindow) {
+        self.requests += other.requests;
+        self.batches += other.batches;
+        self.busy_s += other.busy_s;
+        self.wait
+            .buckets
+            .iter_mut()
+            .zip(&other.wait.buckets)
+            .for_each(|(w, b)| *w += b);
+        self.wait.max = self.wait.max.max(other.wait.max);
+    }
+
+    /// No growth yet.
+    pub fn zero() -> BatcherWindow {
+        BatcherWindow {
+            requests: 0,
+            batches: 0,
+            busy_s: 0.0,
+            wait: HistogramSnapshot::empty(),
+        }
+    }
+
+    /// Report the batcher metrics of this growth.
+    pub fn report(&self, report: &mut Report) {
+        let mut wait = self.wait.clone();
         wait.count = wait.buckets.iter().sum();
         let per_batch = |v: f64| {
-            if batches == 0 {
+            if self.batches == 0 {
                 0.0
             } else {
-                v / batches as f64
+                v / self.batches as f64
             }
         };
-        report.layer("batcher.avg_batch", per_batch(requests as f64), "requests");
-        report.layer("batcher.queue_wait_us", wait.p50() as f64 / 1e3, "us");
         report.layer(
-            "batcher.exec_us",
-            per_batch((end.busy_s - self.busy_s) * 1e6),
-            "us",
+            "batcher.avg_batch",
+            per_batch(self.requests as f64),
+            "requests",
         );
+        report.layer("batcher.queue_wait_us", wait.p50() as f64 / 1e3, "us");
+        report.layer("batcher.exec_us", per_batch(self.busy_s * 1e6), "us");
     }
 }

@@ -23,9 +23,6 @@ mod wire;
 use report::Report;
 use std::path::PathBuf;
 
-/// Set-ups per untraced run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 3;
-
 /// Parsed command line.
 #[derive(Debug, Clone)]
 pub struct Args {

@@ -1,21 +1,21 @@
 //! `net-spmv` and `net-mixed`: loopback serving through `ShardedNetServer`.
 //!
 //! Each run opens `nproc` connections, one generator thread each, and drives
-//! three phases: an open loop at the workload's frozen offered rate (latency
-//! timed from each request's due time), a closed loop at a fixed pipeline
-//! depth (saturation throughput), and CG solves over the wire.
+//! three phases in interleaved cycles: an open loop at the workload's frozen
+//! offered rate (latency timed from each request's due time), a closed loop
+//! at a fixed pipeline depth (saturation throughput), and CG solves over the
+//! wire on a connection of their own.
 
 use crate::host::Host;
 use crate::layers::{self, BatcherWindow};
 use crate::report::Report;
 use crate::stats::{
-    self, best_high, best_low, bitwise_eq, geomean, median, norm2, per_window, percentile_of,
-    window_count, Rng, Zipf,
+    self, bitwise_eq, geomean, median, norm2, percentile_of, window_median, window_of, Rng, Zipf,
 };
 use crate::suite::{self, CG_MAX_ITERS, CG_TOL};
 use crate::trace::Spans;
 use crate::wire::{Schedule, Wire, IDLE_SLEEP};
-use crate::{Args, SETUP_REPS};
+use crate::Args;
 use spmv_core::formats::CsrMatrix;
 use spmv_core::tuning::TuningConfig;
 use spmv_core::MatrixShape;
@@ -55,17 +55,20 @@ const SOLVER_CONTINUES: u32 = 2;
 const HOT_CAPACITY: usize = 19;
 /// Skew of the `net-mixed` target ranks.
 const ZIPF_S: f64 = 1.0;
-/// Shares of the measured seconds: open loop, then closed loop, then CG.
-const OPEN_SHARE: f64 = 0.6;
-const SAT_SHARE: f64 = 0.25;
-/// The open loop is split into windows of at least this many requests (so a
-/// window's p90 has 25 samples beyond it), at most `MAX_WINDOWS` of them;
-/// the closed loop into `MAX_WINDOWS` windows. Each run reports its best
-/// window: on a shared host, interference (CPU steal, a neighbour's cache
-/// and memory traffic) only ever slows a window, while a change to the
-/// program slows every window.
-const WINDOW_REQUESTS: usize = 250;
-const MAX_WINDOWS: usize = 10;
+/// Shares of the measured seconds: open loop, closed loop, and CG.
+const OPEN_SHARE: f64 = 0.45;
+const SAT_SHARE: f64 = 0.3;
+/// A pass runs the three phases in this many interleaved cycles, so every
+/// metric samples the whole run instead of one contiguous slice of it: on a
+/// shared host the machine's speed drifts over seconds.
+const CYCLES: usize = 5;
+/// Each open- and closed-loop segment is split into this many windows by
+/// time; latency percentiles and rates are medians over all windows of the
+/// pass.
+const WINDOWS_PER_SEGMENT: usize = 3;
+/// Set-ups per untraced run; a net set-up takes about a second, so it can
+/// afford more repetitions than the suite's.
+const SETUP_REPS: usize = 5;
 /// How long replies may trail the end of a phase before they count as lost.
 const DRAIN: Duration = Duration::from_secs(5);
 
@@ -614,30 +617,41 @@ fn session_cg(
     Some((x, calls))
 }
 
-struct CgResult {
-    solve_ms: f64,
+/// Solve times of the CG segments of one pass.
+struct CgTimes {
+    /// Milliseconds per solve, per SPD system.
+    times: Vec<Vec<f64>>,
     iters: u64,
     secs: f64,
 }
 
-/// CG phase on one connection: solve each SPD system for fresh seeded
-/// right-hand sides, then verify every answer against an in-process replay
-/// and the true residual.
+impl CgTimes {
+    /// Σ over the systems of the median solve.
+    fn solve_ms(&self) -> f64 {
+        self.times.iter().map(|t| median(t.clone())).sum()
+    }
+}
+
+/// One CG segment on one connection: solve each SPD system for fresh seeded
+/// right-hand sides until `budget` is spent (at least one round), and verify
+/// every answer against an in-process replay and the true residual.
+#[allow(clippy::too_many_arguments)]
 fn cg_phase(
     mix: Mix,
     wire: &mut Wire,
     ctx: &Ctx,
-    seed: u64,
+    rng: &mut Rng,
     budget: Duration,
+    cg: &mut CgTimes,
     report: &mut Report,
     spans: &mut Spans,
-) -> CgResult {
+) {
     let s = ctx.s;
-    let mut rng = Rng::new(seed, 0xc6);
-    let mut times: Vec<Vec<f64>> = vec![Vec::new(); s.spd.len()];
-    let (mut iters, mut secs) = (0u64, 0.0);
+    let CgTimes { times, iters, secs } = cg;
     let start = Instant::now();
-    while start.elapsed() < budget || times[0].is_empty() {
+    let mut rounds = 0;
+    while start.elapsed() < budget || rounds == 0 {
+        rounds += 1;
         for (j, &m) in s.spd.iter().enumerate() {
             let (name, csr) = (&s.names[m], &s.csrs[m]);
             let b = rng.vector(csr.nrows());
@@ -711,14 +725,9 @@ fn cg_phase(
             });
             let solve = (end - t).as_secs_f64();
             times[j].push(solve * 1e3);
-            secs += solve;
-            iters += if mix == Mix::Spmv { count } else { ran };
+            *secs += solve;
+            *iters += if mix == Mix::Spmv { count } else { ran };
         }
-    }
-    CgResult {
-        solve_ms: times.iter().map(|t| best_low(t)).sum(),
-        iters,
-        secs,
     }
 }
 
@@ -766,14 +775,14 @@ fn verify_solver_log(ctx: &Ctx, logs: &[Vec<SolverCall>], report: &mut Report) {
     }
 }
 
-/// Counters of the registry and the shards at one instant.
+/// Counters of the registry and the shards: at one instant
+/// ([`Window::read`]), or their growth over one or more stretches of time.
 struct Window {
     batcher: BatcherWindow,
     evictions: u64,
     rebuilds: u64,
     bytes: u64,
     requests: u64,
-    accepted: Vec<u64>,
 }
 
 impl Window {
@@ -785,52 +794,92 @@ impl Window {
             rebuilds: s.registry.cold_rebuilds(),
             bytes: shards.iter().map(|n| n.bytes_in() + n.bytes_out()).sum(),
             requests: shards.iter().map(|n| n.requests()).sum(),
-            accepted: shards.iter().map(|n| n.accepted()).collect(),
         }
+    }
+
+    fn zero() -> Window {
+        Window {
+            batcher: BatcherWindow::zero(),
+            evictions: 0,
+            rebuilds: 0,
+            bytes: 0,
+            requests: 0,
+        }
+    }
+
+    /// Growth from `before` to `self`.
+    fn since(&self, before: &Window) -> Window {
+        Window {
+            batcher: self.batcher.since(&before.batcher),
+            evictions: self.evictions - before.evictions,
+            rebuilds: self.rebuilds - before.rebuilds,
+            bytes: self.bytes - before.bytes,
+            requests: self.requests - before.requests,
+        }
+    }
+
+    fn add(&mut self, other: &Window) {
+        self.batcher.add(&other.batcher);
+        self.evictions += other.evictions;
+        self.rebuilds += other.rebuilds;
+        self.bytes += other.bytes;
+        self.requests += other.requests;
     }
 }
 
-/// Connections per shard between two windows, and max ÷ mean of them.
-fn shard_skew(before: &Window, after: &Window) -> (Vec<u64>, f64) {
-    let per: Vec<u64> = after
-        .accepted
+/// Wait (at most `DRAIN`) until every shard has seen its connections close,
+/// so that a pass's shard placement does not count the previous pass's
+/// connections.
+fn await_idle(s: &Setup) {
+    let start = Instant::now();
+    while s.server.shard_stats().iter().any(|n| n.active() > 0) && start.elapsed() < DRAIN {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Connections accepted so far by each shard.
+fn accepted(s: &Setup) -> Vec<u64> {
+    s.server
+        .shard_stats()
         .iter()
-        .zip(&before.accepted)
-        .map(|(a, b)| a - b)
-        .collect();
-    let mean = per.iter().sum::<u64>() as f64 / per.len() as f64;
+        .map(|n| n.accepted())
+        .collect()
+}
+
+/// Max ÷ mean of connections per shard.
+fn shard_skew(per: &[u64]) -> f64 {
+    let mean = per.iter().sum::<u64>() as f64 / per.len().max(1) as f64;
     let max = per.iter().copied().max().unwrap_or(0) as f64;
-    (per, if mean > 0.0 { max / mean } else { 0.0 })
+    if mean > 0.0 {
+        max / mean
+    } else {
+        0.0
+    }
 }
 
 struct Pass {
     p50_us: f64,
     p90_us: f64,
-    /// p99 over the whole open loop rather than per window.
-    pooled_p99_us: f64,
+    p99_us: f64,
     sat_rps: f64,
     spmv_gflops: f64,
-    cg: CgResult,
-    open_start: Window,
-    open_end: Window,
+    cg: CgTimes,
+    /// Growth of the counters over the open-loop segments.
+    open: Window,
+    /// Generator connections placed on each shard.
+    placement: Vec<u64>,
     lag_ms: Vec<f64>,
     backlog: u64,
 }
 
-/// A latency percentile of the best window, in which failed requests
-/// (infinite latency) count as taking the whole phase.
-fn latency_pct(lat: &[(f64, f64)], p: f64, phase_s: f64, windows: usize) -> f64 {
-    best_low(&per_window(lat, phase_s, windows, |v| percentile_of(v, p))).min(phase_s * 1e6)
+/// A latency percentile in which failed requests (infinite latency) count as
+/// taking the whole phase.
+fn latency_pct(lat: Vec<f64>, p: f64, phase_s: f64) -> f64 {
+    percentile_of(lat, p).min(phase_s * 1e6)
 }
 
-/// `(offset from start, value)` pairs.
-fn offsets(samples: &[(Instant, f64)], start: Instant) -> Vec<(f64, f64)> {
-    samples
-        .iter()
-        .map(|&(t, v)| (t.saturating_duration_since(start).as_secs_f64(), v))
-        .collect()
-}
-
+/// One pass: `CYCLES` rounds of an open-loop segment, a closed-loop segment
+/// and a CG segment.
 fn measure(
     mix: Mix,
     s: &Setup,
@@ -841,108 +890,140 @@ fn measure(
     spans: &mut Spans,
 ) -> Pass {
     let ctx = Ctx { s, inp };
-    let open_len = Duration::from_secs_f64(args.seconds * OPEN_SHARE);
-    let sat_len = Duration::from_secs_f64(args.seconds * SAT_SHARE);
-    let cg_len = Duration::from_secs_f64(args.seconds * (1.0 - OPEN_SHARE - SAT_SHARE));
-    let open_start = Window::read(s, inp);
-    let mut wires: Vec<Wire> = (0..nconn)
-        .map(|_| Wire::connect(s.server.addr()).expect("connect to loopback server"))
+    let share = |f: f64| Duration::from_secs_f64(args.seconds * f / CYCLES as f64);
+    let last_window = |cycle: usize| (cycle + 1) * WINDOWS_PER_SEGMENT - 1;
+    let (open_len, sat_len, cg_len) = (
+        share(OPEN_SHARE),
+        share(SAT_SHARE),
+        share(1.0 - OPEN_SHARE - SAT_SHARE),
+    );
+    let n_spd = s.spd.len();
+    await_idle(s);
+    let before = accepted(s);
+    let mut carry: Vec<(Wire, OpGen)> = (0..nconn)
+        .map(|c| {
+            let wire = Wire::connect(s.server.addr()).expect("connect to loopback server");
+            (wire, OpGen::new(mix, args.seed, c, n_spd))
+        })
         .collect();
+    // CG runs on a connection of its own, opened after the generators', so
+    // its server-side sessions never meet the generators' solver calls and
+    // the shard placement seen is the generators' own.
+    let mut cg_wire: Option<Wire> = None;
+    let mut placement = None;
     let interval = Duration::from_secs_f64(nconn as f64 / mix.rate());
-    let t0 = Instant::now() + Duration::from_millis(20);
-    let open_end_at = t0 + open_len;
-    let parent: &Spans = spans;
-    let results: Vec<(Tally, Spans, Wire, OpGen)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = wires
-            .drain(..)
-            .enumerate()
-            .map(|(c, mut wire)| {
-                let ctx = &ctx;
-                let mut spans = parent.child();
-                let n_spd = s.spd.len();
-                scope.spawn(move || {
-                    let mut gen = OpGen::new(mix, args.seed, c, n_spd);
-                    let mut tally = Tally::default();
-                    let start = t0 + interval.mul_f64(c as f64 / nconn as f64);
-                    let sched = Schedule::new(start, interval, open_end_at);
-                    open_loop(&mut wire, &mut gen, ctx, sched, &mut tally, &mut spans);
-                    (tally, spans, wire, gen)
+    let mut open = Window::zero();
+    let (mut lat, mut lag_ms, mut backlog, mut done) = (Vec::new(), Vec::new(), 0, Vec::new());
+    let mut logs: Vec<Vec<SolverCall>> = vec![Vec::new(); nconn];
+    let mut cg_rng = Rng::new(args.seed, 0xc6);
+    let mut cg = CgTimes {
+        times: vec![Vec::new(); n_spd],
+        iters: 0,
+        secs: 0.0,
+    };
+    for cycle in 0..CYCLES {
+        // Open loop, evenly spaced sends staggered across the connections.
+        let w0 = Window::read(s, inp);
+        let t0 = Instant::now() + Duration::from_millis(20);
+        let end = t0 + open_len;
+        let parent: &Spans = spans;
+        let results: Vec<(Tally, Spans, Wire, OpGen)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = carry
+                .drain(..)
+                .enumerate()
+                .map(|(c, (mut wire, mut gen))| {
+                    let ctx = &ctx;
+                    let mut spans = parent.child();
+                    scope.spawn(move || {
+                        let mut tally = Tally::default();
+                        let start = t0 + interval.mul_f64(c as f64 / nconn as f64);
+                        let sched = Schedule::new(start, interval, end);
+                        open_loop(&mut wire, &mut gen, ctx, sched, &mut tally, &mut spans);
+                        (tally, spans, wire, gen)
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("generator thread"))
-            .collect()
-    });
-    let open_end = Window::read(s, inp);
-    let mut lat = Vec::new();
-    let mut lag_ms = Vec::new();
-    let mut backlog = 0;
-    let mut logs = Vec::new();
-    let mut carry = Vec::new();
-    for (mut tally, sp, wire, gen) in results {
-        lat.extend(offsets(&tally.lat, t0));
-        lag_ms.append(&mut tally.lag_ms);
-        backlog += tally.backlog;
-        absorb(report, &tally);
-        logs.push(std::mem::take(&mut tally.solver_log));
-        spans.absorb(sp);
-        carry.push((wire, gen));
-    }
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("generator thread"))
+                .collect()
+        });
+        open.add(&Window::read(s, inp).since(&w0));
+        placement.get_or_insert_with(|| {
+            let now = accepted(s);
+            now.iter()
+                .zip(&before)
+                .map(|(a, b)| a - b)
+                .collect::<Vec<u64>>()
+        });
+        for (c, (mut tally, sp, wire, gen)) in results.into_iter().enumerate() {
+            lat.extend(tally.lat.iter().map(|&(due, us)| {
+                let w = window_of(due, cycle, t0, open_len, WINDOWS_PER_SEGMENT);
+                (w.unwrap_or(last_window(cycle)), us)
+            }));
+            lag_ms.append(&mut tally.lag_ms);
+            backlog += tally.backlog;
+            absorb(report, &tally);
+            // Server-side sessions live as long as the connection, so each
+            // connection's calls replay as one sequence.
+            logs[c].append(&mut tally.solver_log);
+            spans.absorb(sp);
+            carry.push((wire, gen));
+        }
 
-    // Closed loop at a fixed depth on the same connections.
-    let sat_start = Instant::now();
-    let sat_end = sat_start + sat_len;
-    let parent: &Spans = spans;
-    let results: Vec<(Tally, Spans, Wire)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = carry
-            .drain(..)
-            .map(|(mut wire, mut gen)| {
-                let ctx = &ctx;
-                let mut spans = parent.child();
-                scope.spawn(move || {
-                    let mut tally = Tally::default();
-                    closed_loop(&mut wire, &mut gen, ctx, sat_end, &mut tally, &mut spans);
-                    (tally, spans, wire)
+        // Closed loop at a fixed depth on the same connections.
+        let sat_start = Instant::now();
+        let sat_end = sat_start + sat_len;
+        let parent: &Spans = spans;
+        let results: Vec<(Tally, Spans, Wire, OpGen)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = carry
+                .drain(..)
+                .map(|(mut wire, mut gen)| {
+                    let ctx = &ctx;
+                    let mut spans = parent.child();
+                    scope.spawn(move || {
+                        let mut tally = Tally::default();
+                        closed_loop(&mut wire, &mut gen, ctx, sat_end, &mut tally, &mut spans);
+                        (tally, spans, wire, gen)
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("generator thread"))
-            .collect()
-    });
-    let mut done = Vec::new();
-    let mut wires = Vec::new();
-    for (c, (mut tally, sp, wire)) in results.into_iter().enumerate() {
-        done.extend(offsets(&tally.done, sat_start));
-        absorb(report, &tally);
-        // Server-side sessions live as long as the connection, so each
-        // connection's calls replay as one sequence.
-        logs[c].append(&mut tally.solver_log);
-        spans.absorb(sp);
-        wires.push(wire);
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("generator thread"))
+                .collect()
+        });
+        for (c, (mut tally, sp, wire, gen)) in results.into_iter().enumerate() {
+            // Replies that trail the end of the segment are not counted.
+            done.extend(tally.done.iter().filter_map(|&(at, flops)| {
+                window_of(at, cycle, sat_start, sat_len, WINDOWS_PER_SEGMENT).map(|w| (w, flops))
+            }));
+            absorb(report, &tally);
+            logs[c].append(&mut tally.solver_log);
+            spans.absorb(sp);
+            carry.push((wire, gen));
+        }
+
+        let wire = cg_wire.get_or_insert_with(|| {
+            Wire::connect(s.server.addr()).expect("connect to loopback server")
+        });
+        cg_phase(mix, wire, &ctx, &mut cg_rng, cg_len, &mut cg, report, spans);
     }
     verify_solver_log(&ctx, &logs, report);
 
-    let cg = cg_phase(mix, &mut wires[0], &ctx, args.seed, cg_len, report, spans);
-    let (open_s, sat_s) = (open_len.as_secs_f64(), sat_len.as_secs_f64());
-    let windows = window_count(lat.len(), WINDOW_REQUESTS, MAX_WINDOWS);
-    let per_s = MAX_WINDOWS as f64 / sat_s;
+    let windows = CYCLES * WINDOWS_PER_SEGMENT;
+    let open_s = open_len.as_secs_f64() * CYCLES as f64;
+    let window_s = sat_len.as_secs_f64() / WINDOWS_PER_SEGMENT as f64;
+    let pct = |p: f64| window_median(&lat, windows, |v| latency_pct(v, p, open_s));
     Pass {
-        p50_us: latency_pct(&lat, 50.0, open_s, windows),
-        p90_us: latency_pct(&lat, 90.0, open_s, windows),
-        pooled_p99_us: latency_pct(&lat, 99.0, open_s, 1),
-        sat_rps: best_high(&per_window(&done, sat_s, MAX_WINDOWS, |v| {
-            v.len() as f64 * per_s
-        })),
-        spmv_gflops: best_high(&per_window(&done, sat_s, MAX_WINDOWS, |v| {
-            v.iter().sum::<f64>() * per_s / 1e9
-        })),
+        p50_us: pct(50.0),
+        p90_us: pct(90.0),
+        p99_us: latency_pct(lat.iter().map(|l| l.1).collect(), 99.0, open_s),
+        sat_rps: window_median(&done, windows, |v| v.len() as f64 / window_s),
+        spmv_gflops: window_median(&done, windows, |v| v.iter().sum::<f64>() / window_s / 1e9),
         cg,
-        open_start,
-        open_end,
+        open,
+        placement: placement.unwrap_or_default(),
         lag_ms,
         backlog,
     }
@@ -976,15 +1057,16 @@ pub fn run(mix: Mix, args: &Args, host: &Host, report: &mut Report) -> Spans {
     if !args.trace {
         let mut off = Spans::new(origin, false);
         let p = measure(mix, &s, &inp, args, nconn, report, &mut off);
-        let (per, skew) = shard_skew(&p.open_start, &p.open_end);
         report.note(format!(
-            "shard placement {per:?}: net.shard_skew {skew:.2}; pooled open-loop p99 {:.0} us",
-            p.pooled_p99_us
+            "shard placement {:?}: net.shard_skew {:.2}; open-loop p99 {:.0} us",
+            p.placement,
+            shard_skew(&p.placement),
+            p.p99_us
         ));
         report.e2e("setup_s", median(times.iter().map(|t| t.0).collect()), "s");
         report.e2e("resident_mb", s.resident_bytes as f64 / 1e6, "MB");
         report.e2e("spmv_gflops", p.spmv_gflops, "GFLOP/s");
-        report.e2e("cg_solve_ms", p.cg.solve_ms, "ms");
+        report.e2e("cg_solve_ms", p.cg.solve_ms(), "ms");
         report.e2e("p50_us", p.p50_us, "us");
         report.e2e("p90_us", p.p90_us, "us");
         report.e2e("sat_rps", p.sat_rps, "req/s");
@@ -1023,35 +1105,28 @@ pub fn run(mix: Mix, args: &Args, host: &Host, report: &mut Report) -> Spans {
         .collect();
     report.layer("solver.open_ms", suite::open_ms(&s.registry, &spd), "ms");
 
-    let (w0, w1) = (&p.open_start, &p.open_end);
-    w0.batcher.report_until(&w1.batcher, report);
-    report.layer(
-        "registry.evictions",
-        (w1.evictions - w0.evictions) as f64,
-        "count",
-    );
-    report.layer(
-        "registry.cold_rebuilds",
-        (w1.rebuilds - w0.rebuilds) as f64,
-        "count",
-    );
+    let w = &p.open;
+    w.batcher.report(report);
+    report.layer("registry.evictions", w.evictions as f64, "count");
+    report.layer("registry.cold_rebuilds", w.rebuilds as f64, "count");
     report.layer("registry.rebuild_ms", rebuild_ms(&s), "ms");
     if mix == Mix::Spmv {
         report.note(
             "registry.rebuild_ms reads 0 on net-spmv: the hot set is uncapped, nothing is demoted",
         );
     }
-    let reqs = (w1.requests - w0.requests).max(1);
     report.layer(
         "net.bytes_per_req",
-        (w1.bytes - w0.bytes) as f64 / reqs as f64,
+        w.bytes as f64 / w.requests.max(1) as f64,
         "B",
     );
     let frames = sample_frames(mix, &s, &inp, args.seed, 256);
     report.layer("net.codec_us", layers::codec_us(&frames), "us");
-    let (per, skew) = shard_skew(w0, w1);
-    report.layer("net.shard_skew", skew, "ratio");
-    report.note(format!("shard placement {per:?} (connections per shard)"));
+    report.layer("net.shard_skew", shard_skew(&p.placement), "ratio");
+    report.note(format!(
+        "shard placement {:?} (generator connections per shard)",
+        p.placement
+    ));
     report.layer("client.lag_ms", percentile_of(p.lag_ms.clone(), 99.0), "ms");
     report.layer(
         "client.lag_max_ms",
@@ -1059,7 +1134,7 @@ pub fn run(mix: Mix, args: &Args, host: &Host, report: &mut Report) -> Spans {
         "ms",
     );
     report.layer("client.backlog", p.backlog as f64, "count");
-    report.layer("client.p99_pooled_us", p.pooled_p99_us, "us");
+    report.layer("client.p99_pooled_us", p.p99_us, "us");
 
     let mats: Vec<(String, &CsrMatrix)> = s.names[..TABLE3]
         .iter()
@@ -1136,10 +1211,10 @@ mod tests {
 
     #[test]
     fn failed_requests_count_as_missing_the_latency_limit() {
-        let mut lat: Vec<(f64, f64)> = (0..98).map(|i| (i as f64 / 100.0, 100.0)).collect();
-        lat.extend([(0.985, f64::INFINITY), (0.99, f64::INFINITY)]);
-        assert_eq!(latency_pct(&lat, 50.0, 1.0, 1), 100.0);
-        assert_eq!(latency_pct(&lat, 99.0, 1.0, 1), 1e6);
+        let mut lat = vec![100.0; 98];
+        lat.extend([f64::INFINITY, f64::INFINITY]);
+        assert_eq!(latency_pct(lat.clone(), 50.0, 1.0), 100.0);
+        assert_eq!(latency_pct(lat, 99.0, 1.0), 1e6);
     }
 
     #[test]

@@ -44,40 +44,36 @@ pub fn pct_of_roof(gflops: f64, triad_gbs: f64, bytes_per_nnz: f64) -> f64 {
     gflops / roof_gflops(triad_gbs, bytes_per_nnz)
 }
 
-/// Split `[0, len)` into `windows` equal windows and apply `f` to the values
-/// of the samples `(offset, value)` that fall in each; samples outside are
-/// dropped.
-pub fn per_window(
-    samples: &[(f64, f64)],
-    len: f64,
+/// The median over `windows` windows of a statistic of each window's values.
+/// `samples` pairs a window index with a value; `stat` also sees the windows
+/// that got no sample (as an empty vector). Interference from other tenants
+/// of a shared host comes in bursts that spoil the windows they overlap; the
+/// median ignores up to half of the windows, while a change to the program
+/// moves every window.
+pub fn window_median(
+    samples: &[(usize, f64)],
     windows: usize,
-    f: impl Fn(Vec<f64>) -> f64,
-) -> Vec<f64> {
-    let n = windows.max(1);
-    let mut bins: Vec<Vec<f64>> = vec![Vec::new(); n];
-    for &(at, v) in samples {
-        if (0.0..len).contains(&at) {
-            bins[(((at / len) * n as f64) as usize).min(n - 1)].push(v);
-        }
+    stat: impl Fn(Vec<f64>) -> f64,
+) -> f64 {
+    let mut bins: Vec<Vec<f64>> = vec![Vec::new(); windows];
+    for &(w, v) in samples {
+        bins[w].push(v);
     }
-    bins.into_iter().map(f).collect()
+    median(bins.into_iter().map(stat).collect())
 }
 
-/// Windows of at least `min_samples` samples each (at least one window, at
-/// most `max_windows`), so a per-window p99 still has ten samples beyond it
-/// when `min_samples` is 1000.
-pub fn window_count(samples: usize, min_samples: usize, max_windows: usize) -> usize {
-    (samples / min_samples.max(1)).clamp(1, max_windows.max(1))
-}
-
-/// Largest value (for rates: the least disturbed window).
-pub fn best_high(values: &[f64]) -> f64 {
-    values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Smallest value (for times: the least disturbed window).
-pub fn best_low(values: &[f64]) -> f64 {
-    values.iter().copied().fold(f64::INFINITY, f64::min)
+/// Window of an instant `at` in a run of `cycles` segments, each split into
+/// `per_segment` equal windows: `segment` is the segment's index, `start`
+/// and `len` its start and length. `None` when `at` falls outside it.
+pub fn window_of(
+    at: std::time::Instant,
+    segment: usize,
+    start: std::time::Instant,
+    len: std::time::Duration,
+    per_segment: usize,
+) -> Option<usize> {
+    let off = at.checked_duration_since(start)?.as_secs_f64() / len.as_secs_f64();
+    (off < 1.0).then(|| segment * per_segment + (off * per_segment as f64) as usize)
 }
 
 /// 64-bit FNV-1a over the bit patterns of a vector: a compact fingerprint for
@@ -206,35 +202,32 @@ mod tests {
     }
 
     #[test]
-    fn best_window_ignores_stalled_windows() {
-        // Five 1 s windows; the third holds a 100× stall.
-        let samples: Vec<(f64, f64)> = (0..50)
+    fn window_median_ignores_a_burst() {
+        // Five windows of ten samples; window 2 holds a 100× stall.
+        let samples: Vec<(usize, f64)> = (0..50)
             .map(|i| {
-                let at = i as f64 / 10.0;
                 (
-                    at,
-                    if (2.0..3.0).contains(&at) {
+                    i / 10,
+                    if i / 10 == 2 {
                         100.0
                     } else {
-                        1.0 + at / 100.0
+                        1.0 + i as f64 / 100.0
                     },
                 )
             })
             .collect();
-        let p99 = per_window(&samples, 5.0, 5, |v| percentile_of(v, 99.0));
-        assert_eq!(p99.len(), 5);
-        assert_eq!(p99[2], 100.0);
-        assert!((best_low(&p99) - 1.009).abs() < 1e-12);
-        // Per-window counts give rates; samples past the end are dropped.
-        let mut late = samples.clone();
-        late.push((7.0, 1.0));
-        assert_eq!(
-            best_high(&per_window(&late, 5.0, 5, |v| v.len() as f64)),
-            10.0
-        );
-        assert_eq!(window_count(12_345, 1000, 10), 10);
-        assert_eq!(window_count(3_500, 1000, 10), 3);
-        assert_eq!(window_count(10, 1000, 10), 1);
+        let p90 = window_median(&samples, 5, |v| percentile_of(v, 90.0));
+        assert!((p90 - 1.38).abs() < 1e-12);
+        // A window without samples is seen by the statistic as empty: a rate
+        // of zero, not a skipped window.
+        let rates = window_median(&samples[..20], 5, |v| v.len() as f64);
+        assert_eq!(rates, 0.0);
+        let t0 = std::time::Instant::now();
+        let ms = std::time::Duration::from_millis;
+        assert_eq!(window_of(t0 + ms(10), 3, t0, ms(40), 4), Some(13));
+        assert_eq!(window_of(t0 + ms(39), 3, t0, ms(40), 4), Some(15));
+        assert_eq!(window_of(t0 + ms(40), 3, t0, ms(40), 4), None);
+        assert_eq!(window_of(t0, 0, t0 + ms(1), ms(40), 4), None);
     }
 
     #[test]

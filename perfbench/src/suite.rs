@@ -1,16 +1,16 @@
 //! `suite-spmv`: the paper's method in process. All 14 Table-3 matrices at
 //! quarter scale are tuned at `nproc` threads and multiplied repeatedly, one
-//! operator at a time, as an iterative solver reuses one operator; then CG
-//! solves run on resident sessions over the 6 SPD symmetric matrices (at
-//! small scale, see [`CG_SCALE`]).
+//! operator at a time, as an iterative solver reuses one operator; in
+//! interleaved cycles with that, CG solves run on resident sessions over the
+//! 6 SPD symmetric matrices (at small scale, see [`CG_SCALE`]).
 //! The kernels, the tuner and the engine do almost all the work here.
 
 use crate::host::Host;
 use crate::layers;
 use crate::report::Report;
-use crate::stats::{best_high, best_low, geomean, median, norm2, percentile_of, window_count, Rng};
+use crate::stats::{geomean, median, norm2, percentile_of, window_median, window_of, Rng};
 use crate::trace::Spans;
-use crate::{Args, SETUP_REPS};
+use crate::Args;
 use spmv_core::formats::CsrMatrix;
 use spmv_core::tuning::TuningConfig;
 use spmv_core::{MatrixShape, SpMv};
@@ -23,15 +23,17 @@ use std::time::{Duration, Instant};
 
 /// Share of the measured seconds given to the SpMV phase (the rest is CG).
 const SPMV_SHARE: f64 = 0.6;
+/// A pass runs the two phases in this many interleaved cycles, so both
+/// sample the whole run instead of one contiguous slice of it: on a shared
+/// host the machine's speed drifts over seconds.
+const CYCLES: usize = 5;
+/// Each SpMV segment is split into this many windows by time; latency
+/// percentiles and the call rate are medians over all windows of the pass.
+const WINDOWS_PER_SEGMENT: usize = 3;
 /// Consecutive calls on one operator before moving to the next.
 const CALLS_PER_BLOCK: usize = 8;
-/// The SpMV phase is split into windows of at least this many calls (at most
-/// `MAX_WINDOWS`), and the run reports its best window; likewise each CG
-/// system reports its fastest solve. Interference from other tenants of a
-/// shared host only ever slows a window, while a change to the program slows
-/// all of them.
-const WINDOW_CALLS: usize = 500;
-const MAX_WINDOWS: usize = 10;
+/// Set-ups per untraced run; `setup_s` is their median.
+const SETUP_REPS: usize = 3;
 /// CG stops at `‖r‖ ≤ CG_TOL·‖b‖` (recurrence residual).
 pub const CG_TOL: f64 = 1e-8;
 /// A CG answer passes when its true residual `‖b − A·x‖` is within this
@@ -131,18 +133,16 @@ struct Pass {
     p50_us: f64,
     p90_us: f64,
     sat_rps: f64,
-    /// p99 over every call of the phase rather than per window.
-    pooled_p99_us: f64,
+    p99_us: f64,
     cg_solve_ms: f64,
     cg_iters: u64,
     cg_secs: f64,
 }
 
 fn measure(s: &mut Setup, args: &Args, report: &mut Report, spans: &mut Spans) -> Pass {
-    let spmv_budget = Duration::from_secs_f64(args.seconds * SPMV_SHARE);
-    let cg_budget = Duration::from_secs_f64(args.seconds * (1.0 - SPMV_SHARE));
+    let spmv_budget = Duration::from_secs_f64(args.seconds * SPMV_SHARE / CYCLES as f64);
+    let cg_budget = Duration::from_secs_f64(args.seconds * (1.0 - SPMV_SHARE) / CYCLES as f64);
 
-    // SpMV phase: blocks of calls on one operator, round-robin over the suite.
     let xs: Vec<Vec<f64>> = s
         .csrs
         .iter()
@@ -159,59 +159,7 @@ fn measure(s: &mut Setup, args: &Args, report: &mut Report, spans: &mut Spans) -
         }
     };
     check(s, report);
-    // (offset from the phase start, matrix, seconds) of every call.
-    let mut calls: Vec<(f64, usize, f64)> = Vec::new();
-    let mut ys: Vec<Vec<f64>> = s.csrs.iter().map(|c| vec![0.0; c.nrows()]).collect();
-    let start = Instant::now();
-    let mut call = 0u64;
-    while start.elapsed() < spmv_budget {
-        for (i, engine) in s.engines.iter_mut().enumerate() {
-            let block = spans.open("suite.block", Instant::now(), None, i as u64);
-            for _ in 0..CALLS_PER_BLOCK {
-                let t = Instant::now();
-                engine.spmv(&xs[i], &mut ys[i]);
-                let end = Instant::now();
-                spans.record("engine.spmv", t, end, block, call);
-                calls.push(((t - start).as_secs_f64(), i, (end - t).as_secs_f64()));
-                report.op(true);
-                call += 1;
-            }
-            spans.close(block, Instant::now());
-        }
-    }
-    let spmv_secs = start.elapsed().as_secs_f64();
-    std::hint::black_box(&ys);
-    check(s, report);
-    // Per window: each matrix's median call → GFLOP/s, geomean over the
-    // suite; latency percentiles and call rate over the window's calls.
-    let windows = window_count(calls.len(), WINDOW_CALLS, MAX_WINDOWS);
-    let mut gflops = Vec::new();
-    let mut p50 = Vec::new();
-    let mut p90 = Vec::new();
-    let mut rps = Vec::new();
-    let pooled_p99_us = percentile_of(calls.iter().map(|c| c.2 * 1e6).collect(), 99.0);
-    for w in 0..windows {
-        let range =
-            spmv_secs * w as f64 / windows as f64..spmv_secs * (w + 1) as f64 / windows as f64;
-        let mut per: Vec<Vec<f64>> = vec![Vec::new(); s.csrs.len()];
-        for &(_, i, secs) in calls.iter().filter(|c| range.contains(&c.0)) {
-            per[i].push(secs);
-        }
-        let all: Vec<f64> = per.iter().flatten().map(|v| v * 1e6).collect();
-        rps.push(all.len() as f64 / (range.end - range.start));
-        p50.push(percentile_of(all.clone(), 50.0));
-        p90.push(percentile_of(all, 90.0));
-        let rates: Vec<f64> = s
-            .csrs
-            .iter()
-            .zip(per)
-            .filter(|(_, l)| !l.is_empty())
-            .map(|(csr, l)| 2.0 * csr.nnz() as f64 / median(l) / 1e9)
-            .collect();
-        gflops.push(geomean(&rates));
-    }
-
-    // CG phase: one resident session per SPD matrix, a fresh seeded b per solve.
+    // CG: one resident session per SPD matrix, a fresh seeded b per solve.
     let mut rng = Rng::new(args.seed, 0xc6);
     let mut sessions: Vec<_> = s
         .spd
@@ -224,42 +172,93 @@ fn measure(s: &mut Setup, args: &Args, report: &mut Report, spans: &mut Spans) -
         .collect();
     let mut solve_ms: Vec<Vec<f64>> = vec![Vec::new(); s.spd.len()];
     let (mut iters, mut cg_secs) = (0u64, 0.0);
-    let start = Instant::now();
-    while start.elapsed() < cg_budget || solve_ms[0].is_empty() {
-        for (i, ((name, csr), session)) in s.spd.iter().zip(&mut sessions).enumerate() {
-            let b = rng.vector(csr.nrows());
-            let id = solve_ms[i].len() as u64;
-            let t = Instant::now();
-            let root = spans.open("cg.solve", t, None, id);
-            let ran = spans
-                .time("solver.reset", root, id, || session.reset(&b))
-                .and_then(|()| {
-                    spans.time("solver.solve", root, id, || {
-                        session.solve(CG_TOL * norm2(&b), CG_MAX_ITERS)
-                    })
-                });
-            let end = Instant::now();
-            spans.close(root, end);
-            let ok = matches!(ran, Ok(n) if n < CG_MAX_ITERS);
-            report.op(ok);
-            if let Ok(n) = ran {
-                iters += n;
-                cg_secs += (end - t).as_secs_f64();
-                solve_ms[i].push((end - t).as_secs_f64() * 1e3);
-                let x = session.solution();
-                report.check(true_residual_ok(csr, &b, x), || {
-                    format!("CG on {name} missed the true-residual bound")
-                });
+    // (matrix, window, seconds) of every SpMV call.
+    let mut calls: Vec<(usize, usize, f64)> = Vec::new();
+    let mut ys: Vec<Vec<f64>> = s.csrs.iter().map(|c| vec![0.0; c.nrows()]).collect();
+    let mut call = 0u64;
+    for cycle in 0..CYCLES {
+        // SpMV segment: blocks of calls on one operator, round-robin over
+        // the suite.
+        let start = Instant::now();
+        while start.elapsed() < spmv_budget {
+            for (i, engine) in s.engines.iter_mut().enumerate() {
+                let block = spans.open("suite.block", Instant::now(), None, i as u64);
+                for _ in 0..CALLS_PER_BLOCK {
+                    let t = Instant::now();
+                    engine.spmv(&xs[i], &mut ys[i]);
+                    let end = Instant::now();
+                    spans.record("engine.spmv", t, end, block, call);
+                    // The round that overruns the segment counts in its last window.
+                    let w = window_of(t, cycle, start, spmv_budget, WINDOWS_PER_SEGMENT)
+                        .unwrap_or((cycle + 1) * WINDOWS_PER_SEGMENT - 1);
+                    calls.push((i, w, (end - t).as_secs_f64()));
+                    report.op(true);
+                    call += 1;
+                }
+                spans.close(block, Instant::now());
+            }
+        }
+
+        // CG segment: at least one solve per system.
+        let start = Instant::now();
+        let mut rounds = 0;
+        while start.elapsed() < cg_budget || rounds == 0 {
+            rounds += 1;
+            for (i, ((name, csr), session)) in s.spd.iter().zip(&mut sessions).enumerate() {
+                let b = rng.vector(csr.nrows());
+                let id = solve_ms[i].len() as u64;
+                let t = Instant::now();
+                let root = spans.open("cg.solve", t, None, id);
+                let ran = spans
+                    .time("solver.reset", root, id, || session.reset(&b))
+                    .and_then(|()| {
+                        spans.time("solver.solve", root, id, || {
+                            session.solve(CG_TOL * norm2(&b), CG_MAX_ITERS)
+                        })
+                    });
+                let end = Instant::now();
+                spans.close(root, end);
+                let ok = matches!(ran, Ok(n) if n < CG_MAX_ITERS);
+                report.op(ok);
+                if let Ok(n) = ran {
+                    iters += n;
+                    cg_secs += (end - t).as_secs_f64();
+                    solve_ms[i].push((end - t).as_secs_f64() * 1e3);
+                    let x = session.solution();
+                    report.check(true_residual_ok(csr, &b, x), || {
+                        format!("CG on {name} missed the true-residual bound")
+                    });
+                }
             }
         }
     }
+    std::hint::black_box(&ys);
+    check(s, report);
+    // Each matrix's median call over the pass → GFLOP/s, geomean over the
+    // suite; latency percentiles and call rate per window, median over the
+    // windows.
+    let mut per: Vec<Vec<f64>> = vec![Vec::new(); s.csrs.len()];
+    for &(i, _, secs) in &calls {
+        per[i].push(secs);
+    }
+    let rates: Vec<f64> = s
+        .csrs
+        .iter()
+        .zip(per)
+        .map(|(csr, l)| 2.0 * csr.nnz() as f64 / median(l) / 1e9)
+        .collect();
+    let windows = CYCLES * WINDOWS_PER_SEGMENT;
+    let us: Vec<(usize, f64)> = calls.iter().map(|c| (c.1, c.2 * 1e6)).collect();
+    let pct = |p: f64| window_median(&us, windows, |v| percentile_of(v, p));
+    // A single caller's rate is the inverse of its mean call time.
+    let rate = |v: Vec<f64>| v.len() as f64 * 1e6 / v.iter().sum::<f64>().max(f64::MIN_POSITIVE);
     Pass {
-        spmv_gflops: best_high(&gflops),
-        p50_us: best_low(&p50),
-        p90_us: best_low(&p90),
-        sat_rps: best_high(&rps),
-        pooled_p99_us,
-        cg_solve_ms: solve_ms.iter().map(|t| best_low(t)).sum(),
+        spmv_gflops: geomean(&rates),
+        p50_us: pct(50.0),
+        p90_us: pct(90.0),
+        sat_rps: window_median(&us, windows, rate),
+        p99_us: percentile_of(us.iter().map(|u| u.1).collect(), 99.0),
+        cg_solve_ms: solve_ms.into_iter().map(median).sum(),
         cg_iters: iters,
         cg_secs,
     }
@@ -356,7 +355,7 @@ pub fn run(args: &Args, host: &Host, report: &mut Report) -> Spans {
     ] {
         report.layer(name, 0.0, unit);
     }
-    report.layer("client.p99_pooled_us", p.pooled_p99_us, "us");
+    report.layer("client.p99_pooled_us", p.p99_us, "us");
     report.note(
         "batcher.*, registry.*, net.* and client.lag/backlog read 0 on suite-spmv: its \
          closed loop calls the engine and solver sessions directly, so no request crosses \
