@@ -18,10 +18,11 @@
 //! * [`client::NetClient`] — a blocking client with a pipelined submit/recv
 //!   mode for load generators.
 //!
-//! The crate is pure `std`: no async runtime, no epoll binding — the poll
-//! loop is a non-blocking accept + drain cycle with a short idle sleep, which
-//! measures well into the hundreds of thousands of frames/s on loopback and
-//! keeps the whole stack dependency-free.
+//! The crate is pure `std`: no async runtime and no crate dependencies. The
+//! poll loop is a non-blocking accept + drain cycle that, when idle, blocks in
+//! `poll(2)` (declared directly against the libc std already links) over its
+//! sockets and a wake channel fired by batch completions, connection handoffs
+//! and shutdown — there is no timer on the request path.
 
 pub mod client;
 pub mod protocol;

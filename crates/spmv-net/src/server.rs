@@ -7,15 +7,23 @@
 //! 1. **accepts** any waiting connections (non-blocking),
 //! 2. **reads** whatever bytes each connection has, peeling complete frames
 //!    off its receive buffer and dispatching the requests,
-//! 3. **polls** the in-flight batcher tickets ([`Ticket::try_wait`]) and
+//! 3. **collects** the in-flight batcher tickets ([`Ticket::try_wait`]) and
 //!    encodes finished results into the connection's write buffer,
-//! 4. **writes** as much buffered output as each socket accepts,
+//! 4. **writes** as much buffered output as each socket accepts.
 //!
-//! and sleeps briefly only when a full pass made no progress. The actual
-//! matrix work never runs on the poll thread: spmv/spmm requests are
-//! submitted to per-matrix [`Batcher`]s (each with its background service
+//! The actual matrix work never runs on the poll thread: spmv/spmm requests
+//! are submitted to per-matrix [`Batcher`]s (each with its background service
 //! thread), which coalesce concurrent requests — possibly from *different
 //! connections* — into fused SpMM batches exactly as in-process callers do.
+//!
+//! **Waiting without a clock.** When a full pass made no progress the loop
+//! blocks in one readiness wait (`poll(2)` on unix) until a socket is ready
+//! — the listener can accept, a connection is readable, or a connection with
+//! buffered output is writable — or until its wake channel fires. Every
+//! batcher the loop spawns wakes it after each executed batch
+//! ([`Batcher::spawn_with_waker`]), the sharded server's listener wakes a
+//! shard after handing it a connection, and shutdown wakes every loop. So a
+//! request waits only for work, never for a timer.
 //!
 //! **Admission control.** Submits go through
 //! [`Batcher::submit_bounded`] with the configured
@@ -41,6 +49,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,8 +65,6 @@ pub struct ServerConfig {
     pub retry_after_ms: u32,
     /// Maximum accepted frame body size.
     pub max_frame: u32,
-    /// Sleep between poll passes that made no progress.
-    pub idle_poll: Duration,
     /// When set, every request must carry this token on its frame header
     /// (compared in constant time); requests without it are answered with the
     /// typed [`crate::protocol::ERR_UNAUTHORIZED`] and never reach a batcher.
@@ -71,7 +78,6 @@ impl Default for ServerConfig {
             batch: BatchPolicy::default(),
             retry_after_ms: 1,
             max_frame: protocol::MAX_FRAME,
-            idle_poll: Duration::from_micros(100),
             auth_token: None,
         }
     }
@@ -108,6 +114,13 @@ impl NetStats {
     /// Connections closed (by either side) since the server started.
     pub fn closed(&self) -> u64 {
         self.closed.get()
+    }
+
+    /// Count one connection assigned to this loop. The single server counts
+    /// at accept; the sharded listener counts at handoff, so a connection
+    /// still in the handoff queue already weighs on least-loaded placement.
+    pub(crate) fn record_accept(&self) {
+        self.accepted.inc();
     }
 
     /// Connections currently open.
@@ -223,7 +236,7 @@ enum Pending {
 /// Per-connection state: socket, codec buffers, in-flight tickets, and the
 /// connection's solver sessions (one per matrix — sessions are stateful,
 /// single-client objects, so they live with the connection).
-struct Conn {
+pub(crate) struct Conn {
     stream: TcpStream,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
@@ -246,15 +259,17 @@ impl Conn {
 }
 
 /// The single-threaded heart of one poll loop: a connection set, the
-/// per-matrix batcher cache, and the shared registry. [`NetServer`] runs one
-/// of these behind its own listener; [`crate::shard::ShardedNetServer`] runs
-/// one per shard thread, feeding each from a listener-thread handoff queue.
+/// per-matrix batcher cache, the shared registry, and the loop's readiness
+/// wait. [`NetServer`] runs one of these behind its own listener;
+/// [`crate::shard::ShardedNetServer`] runs one per shard thread, feeding each
+/// from a listener-thread handoff queue.
 pub(crate) struct ShardCore {
     registry: Arc<MatrixRegistry>,
     config: ServerConfig,
     stats: Arc<NetStats>,
     conns: Vec<Conn>,
-    batchers: HashMap<String, Batcher>,
+    batchers: BatcherCache,
+    readiness: Readiness,
 }
 
 impl ShardCore {
@@ -262,22 +277,39 @@ impl ShardCore {
         registry: Arc<MatrixRegistry>,
         config: ServerConfig,
         stats: Arc<NetStats>,
+        readiness: Readiness,
     ) -> ShardCore {
         ShardCore {
             registry,
             config,
             stats,
             conns: Vec::new(),
-            batchers: HashMap::new(),
+            batchers: BatcherCache {
+                map: HashMap::new(),
+                waker: readiness.waker().clone(),
+            },
+            readiness,
         }
     }
 
-    /// Take ownership of an accepted connection.
+    /// The waker of this loop's readiness wait.
+    pub(crate) fn waker(&self) -> &Waker {
+        self.readiness.waker()
+    }
+
+    /// Take ownership of an accepted connection. Counting it in
+    /// [`NetStats::accepted`] is the caller's job (see
+    /// [`NetStats::record_accept`]).
     pub(crate) fn adopt(&mut self, stream: TcpStream) {
         let _ = stream.set_nonblocking(true);
         let _ = stream.set_nodelay(true);
         self.conns.push(Conn::new(stream));
-        self.stats.accepted.inc();
+    }
+
+    /// Block until `listener` (if any) can accept, a connection is readable
+    /// or can take its buffered output, or the loop is woken.
+    pub(crate) fn wait(&mut self, listener: Option<&TcpListener>) {
+        self.readiness.wait_ready(listener, &self.conns, true, None);
     }
 
     /// One full pass over every connection (read + dispatch, poll tickets,
@@ -305,8 +337,8 @@ impl ShardCore {
     /// buffered responses. Bounded by `deadline`: a peer that stopped reading
     /// cannot wedge shutdown. Every connection counts as closed afterwards.
     pub(crate) fn drain(&mut self, deadline: Instant) {
-        self.batchers.clear();
-        while Instant::now() < deadline {
+        self.batchers.map.clear();
+        loop {
             let mut outstanding = false;
             for conn in &mut self.conns {
                 if conn.dead {
@@ -316,10 +348,12 @@ impl ShardCore {
                 flush_writes(conn, &self.stats);
                 outstanding |= !conn.inflight.is_empty() || !conn.wbuf.is_empty();
             }
-            if !outstanding {
+            let now = Instant::now();
+            if !outstanding || now >= deadline {
                 break;
             }
-            std::thread::sleep(self.config.idle_poll);
+            self.readiness
+                .wait_ready(None, &self.conns, false, Some(deadline - now));
         }
         self.stats
             .closed
@@ -337,6 +371,7 @@ pub struct NetServer {
     config: ServerConfig,
     stats: Arc<NetStats>,
     shutdown: Arc<AtomicBool>,
+    readiness: Readiness,
 }
 
 /// Handle to a spawned server: address, shared stats, and shutdown.
@@ -344,6 +379,7 @@ pub struct NetServerHandle {
     addr: SocketAddr,
     stats: Arc<NetStats>,
     shutdown: Arc<AtomicBool>,
+    waker: Waker,
     join: Option<JoinHandle<()>>,
 }
 
@@ -364,6 +400,7 @@ impl NetServerHandle {
     /// server thread exits. Idempotent.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        self.waker.wake_by_ref();
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
@@ -391,6 +428,7 @@ impl NetServer {
             config,
             stats: Arc::new(NetStats::default()),
             shutdown: Arc::new(AtomicBool::new(false)),
+            readiness: Readiness::new()?,
         })
     }
 
@@ -409,6 +447,7 @@ impl NetServer {
         let addr = self.local_addr()?;
         let stats = Arc::clone(&self.stats);
         let shutdown = Arc::clone(&self.shutdown);
+        let waker = self.readiness.waker().clone();
         let join = std::thread::Builder::new()
             .name("spmv-net-server".into())
             .spawn(move || self.run())?;
@@ -416,6 +455,7 @@ impl NetServer {
             addr,
             stats,
             shutdown,
+            waker,
             join: Some(join),
         })
     }
@@ -428,9 +468,9 @@ impl NetServer {
             config,
             stats,
             shutdown,
+            readiness,
         } = self;
-        let idle_poll = config.idle_poll;
-        let mut core = ShardCore::new(registry, config, stats);
+        let mut core = ShardCore::new(registry, config, Arc::clone(&stats), readiness);
 
         while !shutdown.load(Ordering::Acquire) {
             let mut progress = false;
@@ -440,6 +480,7 @@ impl NetServer {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         core.adopt(stream);
+                        stats.record_accept();
                         progress = true;
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -451,7 +492,7 @@ impl NetServer {
             progress |= core.pump_all();
 
             if !progress {
-                std::thread::sleep(idle_poll);
+                core.wait(Some(&listener));
             }
         }
 
@@ -469,7 +510,7 @@ pub(crate) const DRAIN_BOUND: Duration = Duration::from_secs(5);
 fn pump(
     conn: &mut Conn,
     registry: &Arc<MatrixRegistry>,
-    batchers: &mut HashMap<String, Batcher>,
+    batchers: &mut BatcherCache,
     config: &ServerConfig,
     stats: &NetStats,
 ) -> bool {
@@ -548,7 +589,7 @@ fn handle_request(
     req: Request,
     conn: &mut Conn,
     registry: &Arc<MatrixRegistry>,
-    batchers: &mut HashMap<String, Batcher>,
+    batchers: &mut BatcherCache,
     config: &ServerConfig,
     stats: &NetStats,
 ) {
@@ -606,26 +647,21 @@ fn handle_request(
             }
             let batcher = batcher_for(batchers, &matrix, &served, config);
             let k = cols.len();
-            let mut tickets = Vec::with_capacity(k);
-            for col in cols {
-                match batcher.submit_bounded(col, config.queue_depth) {
-                    Ok(ticket) => tickets.push(ticket),
-                    Err(e) => {
-                        // Fail the whole block with one typed error; columns
-                        // already admitted will complete and be discarded.
-                        if matches!(e, ServeError::Overloaded { .. }) {
-                            stats.sheds.inc();
-                        }
-                        respond(conn, error_response(id, &e, config), stats);
-                        return;
+            // The block is admitted whole or shed whole, so a shed block
+            // costs no kernel work.
+            match batcher.submit_block(cols, config.queue_depth) {
+                Ok(tickets) => conn.inflight.push(Pending::Spmm {
+                    id,
+                    tickets,
+                    done: (0..k).map(|_| None).collect(),
+                }),
+                Err(e) => {
+                    if matches!(e, ServeError::Overloaded { .. }) {
+                        stats.sheds.inc();
                     }
+                    respond(conn, error_response(id, &e, config), stats);
                 }
             }
-            conn.inflight.push(Pending::Spmm {
-                id,
-                tickets,
-                done: (0..k).map(|_| None).collect(),
-            });
         }
         Op::SolverIterate { steps, b } => {
             // Solver sessions are stateful single-client objects; their
@@ -665,25 +701,34 @@ fn handle_request(
     }
 }
 
+/// One loop's per-matrix batchers, each spawned with the loop's waker so a
+/// finished batch wakes the loop that holds its tickets.
+struct BatcherCache {
+    map: HashMap<String, Batcher>,
+    waker: Waker,
+}
+
 /// The batcher serving `name`, rotated onto `served` if the registry handed
 /// out a new handle (an LRU eviction rematerialized the matrix, or it was
 /// re-registered). Replacing the batcher drops the old one, which flushes
 /// whatever it had admitted and unpins the evicted engine.
 fn batcher_for<'a>(
-    batchers: &'a mut HashMap<String, Batcher>,
+    batchers: &'a mut BatcherCache,
     name: &str,
     served: &Arc<spmv_serve::ServedMatrix>,
     config: &ServerConfig,
 ) -> &'a Batcher {
     let stale = batchers
+        .map
         .get(name)
         .is_some_and(|b| !Arc::ptr_eq(b.matrix(), served));
     if stale {
-        batchers.remove(name);
+        batchers.map.remove(name);
     }
-    batchers
-        .entry(name.to_string())
-        .or_insert_with(|| Batcher::spawn(Arc::clone(served), config.batch))
+    let waker = &batchers.waker;
+    batchers.map.entry(name.to_string()).or_insert_with(|| {
+        Batcher::spawn_with_waker(Arc::clone(served), config.batch, Some(waker.clone()))
+    })
 }
 
 /// Poll every in-flight ticket; encode finished requests. Returns whether
@@ -796,6 +841,194 @@ fn serve_error_to_response(id: u64, e: &ServeError, retry_after_ms: u32) -> Resp
         code,
         retry_after_ms: retry,
         message: e.to_string(),
+    }
+}
+
+/// The readiness wait of one poll loop: a wake channel whose [`Waker`] any
+/// thread can fire — a batcher after each batch, the sharded listener after a
+/// handoff, shutdown — plus [`Readiness::wait_ready`], the one blocking point
+/// of every loop (the single server, each shard, the sharded listener, and
+/// the graceful drain).
+pub(crate) struct Readiness {
+    waker: Waker,
+    /// Read end of the wake channel; the waker holds the write end.
+    #[cfg(unix)]
+    wake_rx: std::os::unix::net::UnixStream,
+    /// `poll(2)` set, rebuilt on every wait.
+    #[cfg(unix)]
+    fds: Vec<sys::PollFd>,
+    #[cfg(not(unix))]
+    signal: Arc<ParkSignal>,
+}
+
+/// The write end of a unix wake channel.
+#[cfg(unix)]
+struct WakeTx(std::os::unix::net::UnixStream);
+
+#[cfg(unix)]
+impl Wake for WakeTx {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        // One byte makes the loop's poll return. WouldBlock means the channel
+        // is full, so a wake is already pending.
+        let _ = (&self.0).write(&[1]);
+    }
+}
+
+/// The loop thread to unpark, registered by its first wait.
+#[cfg(not(unix))]
+#[derive(Default)]
+struct ParkSignal(std::sync::OnceLock<std::thread::Thread>);
+
+#[cfg(not(unix))]
+impl Wake for ParkSignal {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        if let Some(thread) = self.0.get() {
+            thread.unpark();
+        }
+    }
+}
+
+impl Readiness {
+    pub(crate) fn new() -> std::io::Result<Readiness> {
+        #[cfg(unix)]
+        {
+            let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            Ok(Readiness {
+                waker: Waker::from(Arc::new(WakeTx(tx))),
+                wake_rx: rx,
+                fds: Vec::new(),
+            })
+        }
+        #[cfg(not(unix))]
+        {
+            let signal = Arc::new(ParkSignal::default());
+            Ok(Readiness {
+                waker: Waker::from(Arc::clone(&signal)),
+                signal,
+            })
+        }
+    }
+
+    pub(crate) fn waker(&self) -> &Waker {
+        &self.waker
+    }
+
+    /// Block until `listener` can accept, a live connection in `conns` is
+    /// readable (only when `read`) or can take its buffered output, the
+    /// waker fires, or `timeout` (`None` = no limit) passes. Hang-ups and
+    /// socket errors also end the wait, so the next pass's read or write
+    /// reaps the connection. Pending wakes are consumed before returning: a
+    /// wake that fires after this returns stays pending for the next wait, so
+    /// none is lost between a pass and the wait that follows it.
+    pub(crate) fn wait_ready(
+        &mut self,
+        listener: Option<&TcpListener>,
+        conns: &[Conn],
+        read: bool,
+        timeout: Option<Duration>,
+    ) {
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            self.fds.clear();
+            self.fds
+                .push(sys::PollFd::new(self.wake_rx.as_raw_fd(), sys::POLLIN));
+            if let Some(listener) = listener {
+                self.fds
+                    .push(sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN));
+            }
+            for conn in conns.iter().filter(|c| !c.dead) {
+                // Asking for POLLOUT on a socket with nothing to send would
+                // end every wait at once.
+                let mut events = if read { sys::POLLIN } else { 0 };
+                if !conn.wbuf.is_empty() {
+                    events |= sys::POLLOUT;
+                }
+                if events != 0 {
+                    self.fds
+                        .push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
+                }
+            }
+            // Round up, so a sub-millisecond remainder does not spin.
+            let timeout_ms = timeout.map_or(-1, |t| {
+                t.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
+            });
+            if sys::poll(&mut self.fds, timeout_ms) && self.fds[0].revents != 0 {
+                let mut sink = [0u8; 64];
+                while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+            }
+        }
+        #[cfg(not(unix))]
+        {
+            // No portable readiness syscall in std: wakes unpark the loop at
+            // once, socket readiness is found by the bounded park.
+            let _ = (listener, conns, read);
+            self.signal.0.get_or_init(std::thread::current);
+            let bound = Duration::from_micros(100);
+            std::thread::park_timeout(timeout.map_or(bound, |t| t.min(bound)));
+        }
+    }
+}
+
+/// `poll(2)`, declared directly: std already links libc on every unix target.
+#[cfg(unix)]
+mod sys {
+    use std::os::raw::{c_int, c_short};
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::os::raw::c_uint;
+
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+
+    #[repr(C)]
+    pub struct PollFd {
+        fd: c_int,
+        events: c_short,
+        pub revents: c_short,
+    }
+
+    impl PollFd {
+        pub fn new(fd: c_int, events: c_short) -> PollFd {
+            PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    extern "C" {
+        #[link_name = "poll"]
+        fn c_poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Wait on `fds` for up to `timeout_ms` (-1 = no limit), retrying on
+    /// EINTR. Returns whether any descriptor is ready.
+    pub fn poll(fds: &mut [PollFd], timeout_ms: c_int) -> bool {
+        loop {
+            // SAFETY: `fds` is a live, exclusively borrowed array of
+            // `#[repr(C)] struct pollfd` of the length passed.
+            let rc = unsafe { c_poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
+            if rc >= 0 {
+                return rc > 0;
+            }
+            if std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted {
+                return false;
+            }
+        }
     }
 }
 

@@ -2,17 +2,22 @@
 //!
 //! [`ShardedNetServer`] scales the single poll thread of
 //! [`NetServer`](crate::NetServer) out to `shards` threads. One **listener
-//! thread** owns the accepting socket and hands each new connection to a
-//! shard over a dedicated SPSC handoff queue (an [`std::sync::mpsc`] channel
-//! with exactly one producer); the target shard is the one with the fewest
-//! active connections at accept time (ties broken round-robin), so long-lived
-//! connections spread evenly without any rebalancing machinery. Each shard
-//! thread then runs the same read → dispatch → poll-tickets → write cycle as
-//! the single server over *its own* connection set and *its own* per-matrix
-//! batcher cache, while every shard shares one
-//! [`MatrixRegistry`](spmv_serve::MatrixRegistry) — so cross-shard requests
-//! for the same matrix still resolve to the same engines and the same LRU hot
-//! set, and a shard's batcher coalesces the traffic of its own connections.
+//! thread** owns the accepting socket, hands each new connection to a shard
+//! over a dedicated SPSC handoff queue (an [`std::sync::mpsc`] channel with
+//! exactly one producer), and wakes that shard. The target is the shard with
+//! the fewest active connections at accept time (ties broken round-robin), so
+//! long-lived connections spread evenly without any rebalancing machinery. A
+//! connection counts against its shard the moment it is handed off, so one
+//! still in the handoff queue already weighs on the next placement.
+//!
+//! Each shard thread runs the same read → dispatch → collect-tickets → write
+//! cycle as the single server over *its own* connection set and *its own*
+//! per-matrix batcher cache, and blocks in the same readiness wait between
+//! passes (woken by its sockets, its batchers, a handoff, or shutdown). Every
+//! shard shares one [`MatrixRegistry`](spmv_serve::MatrixRegistry) — so
+//! cross-shard requests for the same matrix still resolve to the same engines
+//! and the same LRU hot set, and a shard's batcher coalesces the traffic of
+//! its own connections.
 //!
 //! A connection lives on one shard for its whole life: solver sessions,
 //! partial frames, and in-flight tickets never migrate, so every invariant of
@@ -30,19 +35,21 @@
 //! dashboards don't care which server variant runs) plus per-shard
 //! `spmv_net_shard_*{shard="i"}` families.
 //!
-//! **Shutdown.** [`ShardedNetServerHandle::shutdown`] stops the listener
-//! first (no new connections), then every shard runs the same bounded
-//! graceful drain as the single server: batchers flush everything admitted,
-//! tickets resolve, buffered responses are written — zero stranded tickets,
-//! generalized to N shards.
+//! **Shutdown.** [`ShardedNetServerHandle::shutdown`] wakes every loop and
+//! stops the listener first (no new connections); each shard adopts whatever
+//! was still in its handoff queue, then runs the same bounded graceful drain
+//! as the single server: batchers flush everything admitted, tickets resolve,
+//! buffered responses are written — zero stranded tickets, generalized to N
+//! shards.
 
-use crate::server::{NetStats, ServerConfig, ShardCore, DRAIN_BOUND};
+use crate::server::{NetStats, Readiness, ServerConfig, ShardCore, DRAIN_BOUND};
 use spmv_obs::MetricsSnapshot;
 use spmv_serve::MatrixRegistry;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
+use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -102,25 +109,35 @@ impl ShardedNetServer {
         let addr = listener.local_addr()?;
 
         let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(nshards);
+        let mut shard_wakers: Vec<Waker> = Vec::with_capacity(nshards);
         let mut shard_joins: Vec<JoinHandle<()>> = Vec::with_capacity(nshards);
         for (i, stats) in shard_stats.iter().enumerate() {
             let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
             senders.push(tx);
-            let mut core = ShardCore::new(Arc::clone(&registry), config.clone(), Arc::clone(stats));
+            let mut core = ShardCore::new(
+                Arc::clone(&registry),
+                config.clone(),
+                Arc::clone(stats),
+                Readiness::new()?,
+            );
+            shard_wakers.push(core.waker().clone());
             let shutdown = Arc::clone(&shutdown);
-            let idle_poll = config.idle_poll;
             shard_joins.push(
                 std::thread::Builder::new()
                     .name(format!("spmv-net-shard-{i}"))
                     .spawn(move || {
-                        shard_loop(&mut core, &rx, &shutdown, idle_poll);
+                        shard_loop(&mut core, &rx, &shutdown);
                     })?,
             );
         }
 
+        let mut readiness = Readiness::new()?;
+        // Shutdown wakes the listener first, then every shard.
+        let wakers: Vec<Waker> = std::iter::once(readiness.waker().clone())
+            .chain(shard_wakers.iter().cloned())
+            .collect();
         let listener_stats: Vec<Arc<NetStats>> = shard_stats.clone();
         let listener_shutdown = Arc::clone(&shutdown);
-        let idle_poll = config.idle_poll;
         let listener_join = std::thread::Builder::new()
             .name("spmv-net-listener".into())
             .spawn(move || {
@@ -129,7 +146,6 @@ impl ShardedNetServer {
                 // that no further connections can arrive.
                 let mut rr = 0usize;
                 while !listener_shutdown.load(Ordering::Acquire) {
-                    let mut progress = false;
                     loop {
                         match listener.accept() {
                             Ok((stream, _)) => {
@@ -143,15 +159,16 @@ impl ShardedNetServer {
                                 if senders[least].send(stream).is_err() {
                                     return; // shard gone — shutting down
                                 }
-                                progress = true;
+                                // Counted here, not at adoption, so the next
+                                // placement already sees this connection.
+                                listener_stats[least].record_accept();
+                                shard_wakers[least].wake_by_ref();
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                             Err(_) => break,
                         }
                     }
-                    if !progress {
-                        std::thread::sleep(idle_poll);
-                    }
+                    readiness.wait_ready(Some(&listener), &[], true, None);
                 }
             })?;
 
@@ -159,19 +176,16 @@ impl ShardedNetServer {
             addr,
             shard_stats,
             shutdown,
+            wakers,
             listener_join: Some(listener_join),
             shard_joins,
         })
     }
 }
 
-/// One shard thread: adopt handoffs, pump connections, drain on shutdown.
-fn shard_loop(
-    core: &mut ShardCore,
-    handoff: &Receiver<TcpStream>,
-    shutdown: &AtomicBool,
-    idle_poll: std::time::Duration,
-) {
+/// One shard thread: adopt handoffs, pump connections, wait for readiness,
+/// drain on shutdown.
+fn shard_loop(core: &mut ShardCore, handoff: &Receiver<TcpStream>, shutdown: &AtomicBool) {
     while !shutdown.load(Ordering::Acquire) {
         let mut progress = false;
         while let Ok(stream) = handoff.try_recv() {
@@ -180,12 +194,13 @@ fn shard_loop(
         }
         progress |= core.pump_all();
         if !progress {
-            std::thread::sleep(idle_poll);
+            core.wait(None);
         }
     }
-    // Adopt any connections the listener handed off before it stopped, so
-    // their sockets close cleanly (they were never read, nothing is stranded).
-    while let Ok(stream) = handoff.try_recv() {
+    // The listener stops on the same shutdown and then drops its sender. Adopt
+    // every connection it handed off until then, so each one it counted is
+    // closed cleanly (none was read, nothing is stranded).
+    for stream in handoff.iter() {
         core.adopt(stream);
     }
     core.drain(Instant::now() + DRAIN_BOUND);
@@ -229,6 +244,8 @@ pub struct ShardedNetServerHandle {
     addr: SocketAddr,
     shard_stats: Vec<Arc<NetStats>>,
     shutdown: Arc<AtomicBool>,
+    /// The listener's waker, then each shard's.
+    wakers: Vec<Waker>,
     listener_join: Option<JoinHandle<()>>,
     shard_joins: Vec<JoinHandle<()>>,
 }
@@ -294,6 +311,9 @@ impl ShardedNetServerHandle {
     /// everything exited. Idempotent.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        for waker in &self.wakers {
+            waker.wake_by_ref();
+        }
         if let Some(join) = self.listener_join.take() {
             let _ = join.join();
         }

@@ -1,19 +1,28 @@
 //! Request coalescing: concurrent single-vector requests → SpMM batches.
 //!
-//! Clients submit ordinary `y = A·x` requests one vector at a time. The batcher
-//! queues them and serves the queue in multi-vector batches under a simple
-//! policy: execute as soon as `max_batch` requests are waiting, or when the
-//! oldest waiting request has aged past `max_wait` — the standard
-//! latency/throughput knob of a batching service. Each batch is one
-//! [`SpmvEngine::spmm`](spmv_parallel::SpmvEngine) call, so the index traffic of
-//! the matrix is read once for the whole batch; and because the SpMM kernels
-//! are bit-identical per vector to the tuned SpMV path, batching is invisible
-//! to clients in every bit of the result.
+//! Clients submit ordinary `y = A·x` requests one vector at a time (or a
+//! whole block of columns at once with [`Batcher::submit_block`]). The
+//! batcher queues them and serves the queue in multi-vector batches. The
+//! default cut is **work-conserving**: whenever the service thread is free it
+//! takes up to `max_batch` waiting requests and executes them at once, so a
+//! lone request never waits for company, and requests that arrive while a
+//! batch runs are served together in the next one. A non-zero
+//! [`BatchPolicy::max_wait`] turns on an explicit linger: a partial batch is
+//! then held until `max_batch` requests are waiting or the oldest has aged
+//! `max_wait`.
+//!
+//! Each batch is one [`SpmvEngine::spmm`](spmv_parallel::SpmvEngine) call, so
+//! the index traffic of the matrix is read once for the whole batch; and
+//! because the SpMM kernels are bit-identical per vector to the tuned SpMV
+//! path, batching is invisible to clients in every bit of the result.
 //!
 //! Two driving modes:
 //!
 //! * [`Batcher::spawn`] — a background service thread owns the loop (the
 //!   production shape). Dropping the batcher flushes the queue and joins it.
+//!   [`Batcher::spawn_with_waker`] additionally wakes a [`Waker`] after every
+//!   executed batch, so an event loop holding the tickets learns of results
+//!   without polling on a clock.
 //! * [`Batcher::manual`] — no thread; the caller drives with
 //!   [`Batcher::run_once`]. Deterministic, used by tests and benchmarks.
 //!
@@ -46,26 +55,31 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// When a batch is cut: at `max_batch` waiting requests, or when the oldest
-/// waiting request has aged `max_wait`.
+/// When a batch is cut. With a zero `max_wait` (the default) the cut is
+/// work-conserving: the service thread takes up to `max_batch` waiting
+/// requests as soon as it is free. A non-zero `max_wait` is an explicit
+/// linger: a partial batch is held until `max_batch` requests are waiting or
+/// the oldest has aged `max_wait`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Maximum requests coalesced into one SpMM batch.
     pub max_batch: usize,
-    /// Maximum time the oldest request may wait before the batch is cut anyway.
+    /// How long a partial batch may linger for more requests; zero cuts it
+    /// at once.
     pub max_wait: Duration,
 }
 
 impl Default for BatchPolicy {
-    /// Eight-wide batches (the widest generated microkernel chunk) with a
-    /// 200 µs age bound.
+    /// Eight-wide batches (the widest generated microkernel chunk), cut as
+    /// soon as the service thread is free.
     fn default() -> Self {
         BatchPolicy {
             max_batch: 8,
-            max_wait: Duration::from_micros(200),
+            max_wait: Duration::ZERO,
         }
     }
 }
@@ -162,8 +176,20 @@ pub struct Batcher {
 impl Batcher {
     /// Start a batcher with a background service thread.
     pub fn spawn(matrix: Arc<ServedMatrix>, policy: BatchPolicy) -> Batcher {
+        Self::spawn_with_waker(matrix, policy, None)
+    }
+
+    /// [`Batcher::spawn`] whose service thread wakes `waker` after every
+    /// executed batch (served or failed), once its tickets have resolved — the
+    /// completion signal of an event loop that polls tickets with
+    /// [`Ticket::try_wait`].
+    pub fn spawn_with_waker(
+        matrix: Arc<ServedMatrix>,
+        policy: BatchPolicy,
+        waker: Option<Waker>,
+    ) -> Batcher {
         let mut batcher = Self::manual(matrix, policy);
-        batcher.start_service();
+        batcher.start(waker);
         batcher
     }
 
@@ -213,6 +239,10 @@ impl Batcher {
     /// Attach the background service thread to a manually-constructed batcher
     /// (idempotent — a running service is left in place).
     pub fn start_service(&mut self) {
+        self.start(None);
+    }
+
+    fn start(&mut self, waker: Option<Waker>) {
         if self.worker.is_some() {
             return;
         }
@@ -224,7 +254,7 @@ impl Batcher {
         self.worker = Some(
             std::thread::Builder::new()
                 .name(format!("spmv-serve-{}", matrix.name()))
-                .spawn(move || service_loop(queue, matrix, policy, stats, injector))
+                .spawn(move || service_loop(queue, matrix, policy, stats, injector, waker))
                 .expect("spawn batcher service thread"),
         );
     }
@@ -274,34 +304,50 @@ impl Batcher {
     /// queue lock, so the bound is exact even under concurrent submitters —
     /// the load-shed primitive of the networked front-end.
     pub fn submit_bounded(&self, x: Vec<f64>, max_pending: usize) -> Result<Ticket> {
-        if x.len() != self.matrix.ncols() {
+        let mut tickets = self.submit_block(vec![x], max_pending)?;
+        Ok(tickets.pop().expect("one ticket per submitted column"))
+    }
+
+    /// Enqueue a block of columns atomically: all of them are admitted under
+    /// one queue lock with one notify, or none is. The block is refused with
+    /// [`ServeError::Overloaded`] (one shed counted) when it does not fit in
+    /// `max_pending` alongside the requests already waiting, so a shed block
+    /// costs no kernel work. Returns one [`Ticket`] per column, in order. With
+    /// the work-conserving cut a block of at most `max_batch` columns
+    /// submitted to an idle queue is served as one SpMM batch.
+    pub fn submit_block(&self, cols: Vec<Vec<f64>>, max_pending: usize) -> Result<Vec<Ticket>> {
+        if let Some(bad) = cols.iter().find(|x| x.len() != self.matrix.ncols()) {
             return Err(ServeError::DimensionMismatch {
                 expected: self.matrix.ncols(),
-                found: x.len(),
+                found: bad.len(),
             });
         }
         let now = Instant::now();
-        let (tx, rx) = mpsc::channel();
+        let mut tickets = Vec::with_capacity(cols.len());
         {
             let mut state = self.queue.lock();
             if !state.open {
                 return Err(ServeError::Closed);
             }
-            if state.pending.len() >= max_pending {
-                let pending = state.pending.len();
+            let pending = state.pending.len();
+            if pending.saturating_add(cols.len()) > max_pending {
                 drop(state);
                 self.stats.record_shed();
                 return Err(ServeError::Overloaded { pending });
             }
-            state.pending.push_back(Request {
-                x,
-                reply: tx,
-                submitted: now,
-            });
+            for x in cols {
+                let (tx, rx) = mpsc::channel();
+                state.pending.push_back(Request {
+                    x,
+                    reply: tx,
+                    submitted: now,
+                });
+                tickets.push(Ticket { rx });
+            }
             self.queue.cv.notify_all();
         }
         self.stats.record_submit(now);
-        Ok(Ticket { rx })
+        Ok(tickets)
     }
 
     /// Blocking convenience: submit and wait.
@@ -414,16 +460,17 @@ fn execute_batch(
 }
 
 /// The background service loop: wait for work, cut batches per the policy,
-/// execute. On shutdown every request enqueued before the close is flushed
-/// before the thread exits — `submit` checks the open flag under the queue
-/// lock, so nothing can be enqueued after the loop observes the close with an
-/// empty queue.
+/// execute, wake the owner's [`Waker`] (if any). On shutdown every request
+/// enqueued before the close is flushed before the thread exits — `submit`
+/// checks the open flag under the queue lock, so nothing can be enqueued after
+/// the loop observes the close with an empty queue.
 fn service_loop(
     queue: Arc<SharedQueue>,
     matrix: Arc<ServedMatrix>,
     policy: BatchPolicy,
     stats: Arc<ServeStats>,
     injector: Arc<AtomicU64>,
+    waker: Option<Waker>,
 ) {
     loop {
         let batch = {
@@ -438,7 +485,10 @@ fn service_loop(
                     state = queue.wait(state);
                     continue;
                 }
-                if state.pending.len() >= policy.max_batch || !state.open {
+                if policy.max_wait.is_zero()
+                    || state.pending.len() >= policy.max_batch
+                    || !state.open
+                {
                     break;
                 }
                 let deadline = state.pending.front().unwrap().submitted + policy.max_wait;
@@ -451,6 +501,9 @@ fn service_loop(
             drain_batch(&mut state.pending, policy.max_batch)
         };
         execute_batch(&matrix, batch, &stats, &injector);
+        if let Some(waker) = &waker {
+            waker.wake_by_ref();
+        }
     }
 }
 
@@ -617,6 +670,85 @@ mod tests {
         // Queue drained: admission re-opens.
         assert!(batcher.submit_bounded(request_x(3), 2).is_ok());
         assert_eq!(batcher.stats().snapshot().sheds, 1);
+    }
+
+    #[test]
+    fn a_block_is_served_as_one_batch_bit_identical_to_spmv() {
+        let batcher = Batcher::manual(served(11), BatchPolicy::default());
+        let cols: Vec<Vec<f64>> = (0..4).map(request_x).collect();
+        let tickets = batcher.submit_block(cols, usize::MAX).unwrap();
+        assert_eq!(batcher.pending(), 4);
+        assert_eq!(batcher.run_once(), 4);
+        for (j, ticket) in tickets.into_iter().enumerate() {
+            let y = ticket.wait().unwrap();
+            assert_eq!(y, batcher.matrix().spmv_now(&request_x(j)).unwrap());
+        }
+        assert_eq!(batcher.stats().snapshot().batch_k_histogram, vec![(4, 1)]);
+    }
+
+    #[test]
+    fn a_block_that_does_not_fit_is_shed_whole() {
+        let batcher = Batcher::manual(served(12), BatchPolicy::default());
+        let _t0 = batcher.submit_bounded(request_x(0), 4).unwrap();
+        let _t1 = batcher.submit_bounded(request_x(1), 4).unwrap();
+        let block: Vec<Vec<f64>> = (2..5).map(request_x).collect();
+        match batcher.submit_block(block, 4) {
+            Err(ServeError::Overloaded { pending }) => assert_eq!(pending, 2),
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        assert_eq!(batcher.pending(), 2, "no column of a shed block is queued");
+        assert_eq!(
+            batcher.stats().sheds(),
+            1,
+            "one shed per block, not per column"
+        );
+        // A block that fits exactly is admitted whole.
+        let block: Vec<Vec<f64>> = (2..4).map(request_x).collect();
+        assert_eq!(batcher.submit_block(block, 4).unwrap().len(), 2);
+        assert_eq!(batcher.pending(), 4);
+    }
+
+    #[test]
+    fn a_block_after_close_or_with_a_bad_column_errors() {
+        let batcher = Batcher::manual(served(13), BatchPolicy::default());
+        let bad = vec![request_x(0), vec![0.0; 7]];
+        assert!(matches!(
+            batcher.submit_block(bad, usize::MAX),
+            Err(ServeError::DimensionMismatch { found: 7, .. })
+        ));
+        assert_eq!(batcher.pending(), 0);
+        batcher.close();
+        assert!(matches!(
+            batcher.submit_block(vec![request_x(0), request_x(1)], usize::MAX),
+            Err(ServeError::Closed)
+        ));
+        assert_eq!(batcher.pending(), 0);
+    }
+
+    #[test]
+    fn spawned_batcher_wakes_its_waker_after_each_batch() {
+        struct Count(AtomicU64);
+        impl std::task::Wake for Count {
+            fn wake(self: Arc<Self>) {
+                self.wake_by_ref();
+            }
+            fn wake_by_ref(self: &Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let count = Arc::new(Count(AtomicU64::new(0)));
+        let batcher = Batcher::spawn_with_waker(
+            served(14),
+            BatchPolicy::default(),
+            Some(Waker::from(Arc::clone(&count))),
+        );
+        for j in 0..3 {
+            let ticket = batcher.submit(request_x(j)).unwrap();
+            let y = ticket.wait().unwrap();
+            assert_eq!(y, batcher.matrix().spmv_now(&request_x(j)).unwrap());
+        }
+        drop(batcher); // joins the service thread: every wake has happened
+        assert_eq!(count.0.load(Ordering::SeqCst), 3);
     }
 
     #[test]
